@@ -17,9 +17,10 @@
 /// dedicated tuner study with the gated speedup target is bench_autotune.
 /// A native lane then replays the mixed workload on two engines differing
 /// only in `EngineConfig::arch` — SimTitanXp vs. NativeCpu (docs/
-/// BACKENDS.md) — and gates native warm throughput at >= 2x the simulated
-/// engine's: the native backend skips all cost-model accounting and runs
-/// wall-clock-lean ESC/merge primitives, so its only job is to be fast.
+/// BACKENDS.md). Both run the same blocks; NativeCpu only skips cost-model
+/// pricing. The lane gates lane parity (bit-identical outputs and identical
+/// work counters) and reports, without gating, the warm speedup pricing
+/// costs the simulated lane.
 /// Emits JSON (stdout + bench_out/bench_runtime_throughput.json) with
 /// jobs/s, plan-cache hit rate, pool reuse bytes, restart counts and the
 /// per-stage simulated-time breakdown aggregated over each batch's jobs
@@ -37,7 +38,7 @@
 ///   must cut restarts from the closed-form guess's ~80 to ≤8 with
 ///   bit-identical outputs, and the estimated pool must sit within [1x, 4x]
 ///   of the observed high-water mark for ≥90% of the suite's jobs.
-///   --native runs only the native-vs-sim lane and its 2x gate (the CI
+///   --native runs only the native-vs-sim lane and its parity gate (the CI
 ///   NativeCpu lane).
 
 #include <algorithm>
@@ -179,13 +180,14 @@ void emit_workload(std::ostream& os, const std::string& name,
 /// Native-vs-sim A/B on the mixed workload: two engines identical except
 /// for `EngineConfig::arch`. Both are measured warm (second batch), where
 /// plan caching has stripped the setup work both backends share and what
-/// remains is block execution — exactly the work the native backend
-/// replaces with wall-clock-lean primitives. `native_threads = 1` keeps
-/// the comparison per-core honest: engine workers already saturate the
-/// host, so per-job threading would only add oversubscription noise.
+/// remains is block execution plus, on the simulated lane, cost-model
+/// pricing. `native_threads = 1` keeps the comparison per-core honest:
+/// engine workers already saturate the host, so per-job threading would
+/// only add oversubscription noise.
 struct NativeReport {
   acs::BatchBenchResult sim_warm, native_warm;
   bool identical = false;  ///< native outputs bit-identical to sim's
+  bool counters_equal = false;  ///< native work counters equal sim's
 
   [[nodiscard]] double speedup() const {
     return sim_warm.jobs_per_s > 0.0
@@ -212,15 +214,19 @@ NativeReport run_native_lane(const std::vector<Pair>& pairs,
   acs::run_engine_batch(native, pairs, cfg, "native_cold");
   rep.native_warm = acs::run_engine_batch(native, pairs, cfg, "native_warm");
 
-  // The speed must not come from different answers: spot-check the lane's
-  // distinct structures through both engines (NativeCpu's bit-identity is
-  // property-tested across the generator sweep in tests/test_arch.cpp).
+  // One block path: spot-check the lane's distinct structures through both
+  // engines — same answers and the same work counters (property-tested
+  // across the generator sweep in tests/test_golden_counters.cpp).
   rep.identical = true;
+  rep.counters_equal = true;
   for (std::size_t j = 0; j < std::min<std::size_t>(pairs.size(), 4); ++j) {
-    const auto rs = sim.submit(pairs[j].first, pairs[j].second, cfg).result().c;
+    const auto rs = sim.submit(pairs[j].first, pairs[j].second, cfg).result();
     const auto rn =
-        native.submit(pairs[j].first, pairs[j].second, cfg).result().c;
-    rep.identical = rep.identical && rs.equals_exact(rn);
+        native.submit(pairs[j].first, pairs[j].second, cfg).result();
+    rep.identical = rep.identical && rs.c.equals_exact(rn.c);
+    rep.counters_equal = rep.counters_equal &&
+                         rs.stats.metrics == rn.stats.metrics &&
+                         rs.stats.restarts == rn.stats.restarts;
   }
   return rep;
 }
@@ -231,16 +237,22 @@ void emit_native(std::ostream& os, const NativeReport& rep, bool last) {
   emit(os, rep.native_warm, false);
   os << "    \"native_speedup_vs_sim\": " << rep.speedup() << ",\n"
      << "    \"outputs_bit_identical\": " << (rep.identical ? "true" : "false")
+     << ",\n    \"counters_equal\": " << (rep.counters_equal ? "true" : "false")
      << "\n  }" << (last ? "\n" : ",\n");
 }
 
-/// The native lane's gate (also run standalone via --native): NativeCpu
-/// warm throughput >= 2x the simulated engine's, bit-identical outputs.
+/// The native lane's gate (also run standalone via --native): lane parity
+/// — bit-identical outputs and identical work counters. The warm speedup is
+/// printed, not gated: both lanes run the same blocks, so it measures only
+/// what cost-model pricing costs the simulated lane (the native lane's own
+/// speed is guarded end to end by the repository benchmark, perfbench/).
 int gate_native(const NativeReport& rep) {
-  const bool ok = rep.speedup() >= 2.0 && rep.identical;
-  std::cerr << "native-vs-sim warm speedup (mixed): " << rep.speedup()
+  const bool ok = rep.identical && rep.counters_equal;
+  std::cerr << "native-vs-sim warm speedup (mixed, not gated): "
+            << rep.speedup()
             << "x, outputs bit-identical: " << (rep.identical ? "yes" : "NO")
-            << (ok ? "  [ok]" : "  [BELOW TARGET]") << "\n";
+            << ", counters equal: " << (rep.counters_equal ? "yes" : "NO")
+            << (ok ? "  [ok]" : "  [LANES DIVERGE]") << "\n";
   return ok ? 0 : 1;
 }
 
@@ -367,7 +379,7 @@ int main(int argc, char** argv) {
 
   // The PR's acceptance criteria, checked where the numbers are produced:
   // warm engine >= 1.5x naive jobs/s with zero restarts after warm-up, and
-  // the native lane's 2x gate.
+  // the native lane's parity gate.
   const bool ok =
       repeated.warm_speedup() >= 1.5 && repeated.warm.restarts == 0;
   std::cerr << "repeated-pattern warm speedup: " << repeated.warm_speedup()

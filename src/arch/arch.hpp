@@ -75,9 +75,8 @@ struct SimBigDevice {
 /// ESC working set, and keeping it identical keeps outputs bit-identical
 /// to the simulated backend (arch/invariants.hpp pins the equality; the
 /// differential sweep in tests/test_arch.cpp observes it). What changes is
-/// the execution kind: blocks run on the host thread pool with
-/// wall-clock-lean primitives (arch/native_exec.hpp) and the simulated
-/// cost model off.
+/// the execution kind: blocks run on the host thread pool and the cost
+/// model does not price them.
 struct NativeCpu {
   static constexpr ArchId kId = ArchId::kNativeCpu;
   static constexpr ExecKind kExec = ExecKind::kNative;

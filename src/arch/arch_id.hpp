@@ -24,20 +24,21 @@ enum class ArchId : std::uint32_t {
   /// block shapes the Titan Xp must prune (e.g. nnz_per_block = 1024 with
   /// double values) are feasible here, so the tuner's grid widens.
   kSimBigDevice = 1,
-  /// Native CPU execution: the same block algorithms run on the host
-  /// thread pool for wall-clock throughput, with the simulated cost model
-  /// switched off. Block geometry mirrors SimTitanXp, so outputs are
+  /// Native CPU execution: the same blocks run on the host thread pool for
+  /// wall-clock throughput, with cost-model pricing switched off. Block
+  /// geometry mirrors SimTitanXp, so outputs and work counters are
   /// bit-identical to the simulated backend.
   kNativeCpu = 2,
 };
 
-/// How a backend executes blocks (selected per job via `Config::exec`).
+/// Whether a backend prices its kernels with the cost model (selected per
+/// job via `Config::exec`). Every kind runs the same block code and charges
+/// the same work counters; only the pricing differs.
 enum class ExecKind : std::uint32_t {
-  /// Charge every block's work to the simulated device cost model
-  /// (sim::schedule_blocks); stats report simulated kernel times.
+  /// Price every kernel's block counters with the simulated device cost
+  /// model (sim::schedule_blocks); stats report simulated kernel times.
   kSimulated = 0,
-  /// Skip the device cost model entirely and use wall-clock-lean
-  /// primitives; stats report zero simulated time.
+  /// Skip the cost model; stats report zero simulated time.
   kNative = 1,
 };
 

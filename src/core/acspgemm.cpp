@@ -118,13 +118,11 @@ class Pipeline {
   /// can attribute it to their trace span.
   double record_stage(const char* name,
                       const std::vector<sim::MetricCounters>& blocks) {
+    // The one place the execution kind matters: both kinds run the same
+    // blocks and charge the same counters; kNative just does not price
+    // them (the cost model is pure overhead on the wall-clock path) and
+    // keeps the stage entry at zero simulated time.
     if (cfg_.exec == arch::ExecKind::kNative) {
-      // Native backend: blocks ran for real, there is no simulated kernel
-      // to price — skip the cost model entirely (it is pure overhead on
-      // the wall-clock path) and keep the stage entry at zero sim time.
-      // Block metrics still aggregate: the native ESC path charges almost
-      // nothing to them by design, but merge/CC reuse the simulated
-      // primitives and their counters remain meaningful.
       stats_.stage_times_s.emplace_back(name, 0.0);
       for (const auto& bm : blocks) stats_.metrics += bm;
       return 0.0;

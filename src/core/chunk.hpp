@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "matrix/types.hpp"
+#include "sim/metrics.hpp"
 
 namespace acs {
 
@@ -87,6 +88,18 @@ struct Chunk {
            cols.size() * (sizeof(index_t) + sizeof(T));
   }
 };
+
+/// Global traffic of committing one chunk: its bytes written coalesced
+/// after a staging round trip through scratchpad (two scratch accesses per
+/// materialized entry; a pointer chunk has none), plus the atomics of pool
+/// allocation, per-row nnz counter updates and the two list-head insertions
+/// (first and last row).
+template <class T>
+void charge_chunk_write(sim::MetricCounters& m, const Chunk<T>& chunk) {
+  m.global_bytes_coalesced += chunk.byte_size();
+  m.atomic_ops += 1 + chunk.rows.size() + 2;
+  m.scratch_ops += 2 * chunk.cols.size();
+}
 
 /// One `ChunkPool::try_allocate` attempt as seen by an `AllocationPolicy`.
 /// `index` is the 0-based sequence number of the attempt over the pool's

@@ -101,10 +101,21 @@ struct CompactionOutput {
   std::vector<std::pair<index_t, index_t>> rows;
 };
 
+/// Work charged for compacting `n` sorted elements: one block-wide scan of
+/// the buffer through scratchpad.
+inline void charge_compaction(sim::MetricCounters& m, std::size_t n) {
+  m.scan_elements += n;
+  m.scratch_ops += n;
+}
+
 /// Compact a buffer sorted by `keys` (ascending): sum values of equal keys
 /// (left to right, preserving the deterministic accumulation order the
 /// paper's bit-stability rests on) and report per-row counts. Charges one
 /// block scan of the buffer to `m`.
+///
+/// This is the Algorithm 3 scan, kept as the reference the packed-word
+/// proofs (core/invariants.hpp) certify; the pipeline runs the equivalent
+/// single pass `compact_sorted_into` below.
 template <class T>
 CompactionOutput<T> compact_sorted(std::span<const std::uint64_t> keys,
                                    std::span<const T> vals,
@@ -147,8 +158,7 @@ CompactionOutput<T> compact_sorted(std::span<const std::uint64_t> keys,
   // Inclusive scan with the combine operator.
   for (std::size_t i = 1; i < n; ++i)
     elems[i] = cd::combine_scan_operator(elems[i - 1], elems[i], codec);
-  m.scan_elements += n;
-  m.scratch_ops += n;
+  charge_compaction(m, n);
 
   // Extraction: combine-sequence ends are the compacted elements; row ends
   // carry the per-row counts. Flags are re-derived from neighbours exactly
@@ -171,6 +181,51 @@ CompactionOutput<T> compact_sorted(std::span<const std::uint64_t> keys,
     }
   }
   return out;
+}
+
+/// Single-pass compaction with the exact output of `compact_sorted`: equal
+/// keys combine strictly left to right (the association Algorithm 3's
+/// inclusive scan applies) and rows/counts emit in the same order, so keys,
+/// values and layout match the scan bit for bit (tests/test_arch.cpp
+/// compares the two). It enforces the same 15-bit counter bound, clears
+/// `out` but keeps its capacity, and charges nothing — callers charge
+/// `charge_compaction`.
+template <class T>
+void compact_sorted_into(std::span<const std::uint64_t> keys,
+                         std::span<const T> vals, const KeyCodec& codec,
+                         CompactionOutput<T>& out) {
+  out.keys.clear();
+  out.vals.clear();
+  out.rows.clear();
+  const std::size_t n = keys.size();
+  assert(vals.size() == n);
+  if (n > compaction_detail::kCounterMask)
+    throw std::length_error(
+        "compact_sorted_into: " + std::to_string(n) +
+        " elements exceed the 15-bit scan counters (max " +
+        std::to_string(compaction_detail::kCounterMask) + ")");
+  if (n == 0) return;
+
+  std::uint64_t run_key = keys[0];
+  T run_val = vals[0];
+  index_t row_count = 0;
+  for (std::size_t i = 1; i <= n; ++i) {
+    if (i < n && keys[i] == run_key) {
+      run_val = run_val + vals[i];
+      continue;
+    }
+    out.keys.push_back(run_key);
+    out.vals.push_back(run_val);
+    ++row_count;
+    if (i == n || !codec.same_row(keys[i], run_key)) {
+      out.rows.emplace_back(codec.row_of(run_key), row_count);
+      row_count = 0;
+    }
+    if (i < n) {
+      run_key = keys[i];
+      run_val = vals[i];
+    }
+  }
 }
 
 }  // namespace acs

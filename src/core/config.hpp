@@ -105,14 +105,14 @@ struct Config {
   trace::TraceSession* trace = nullptr;
   /// Simulated device.
   sim::DeviceConfig device{};
-  /// How blocks execute (arch backend selection, normally set by the
-  /// runtime engine from `EngineConfig::arch`): `kSimulated` (default)
-  /// charges every block to the simulated cost model of `device`;
-  /// `kNative` runs the same block algorithms with wall-clock-lean
-  /// primitives and zero simulated time (stage times and device-traffic
-  /// metrics then read 0 / near-0). Results are bit-identical either way —
-  /// the ESC/merge geometry still comes from `device`, so keep `device` at
-  /// the arch's values (docs/BACKENDS.md).
+  /// Whether kernels are priced with the cost model (arch backend
+  /// selection, normally set by the runtime engine from
+  /// `EngineConfig::arch`). Read only where a kernel's block counters are
+  /// recorded: `kSimulated` (default) prices them with the cost model of
+  /// `device` into stage and simulated times; `kNative` skips pricing and
+  /// records zero simulated time. Blocks, counters and results are the
+  /// same either way — the ESC/merge geometry still comes from `device`, so
+  /// keep `device` at the arch's values (docs/BACKENDS.md).
   arch::ExecKind exec = arch::ExecKind::kSimulated;
 
   /// Temporary products held per block per ESC iteration.

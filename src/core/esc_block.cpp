@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "arch/native_exec.hpp"
 #include "core/compaction.hpp"
 #include "core/sort_key.hpp"
 #include "core/work_distribution.hpp"
@@ -12,11 +11,6 @@
 
 namespace acs {
 namespace {
-
-// The native compaction enforces the exact counter bound the scan
-// emulation does; the mirror must never drift.
-static_assert(arch::kNativeCompactMaxElements ==
-              compaction_detail::kCounterMask);
 
 /// Build a chunk from a prefix of the compaction output.
 /// Rows [0, row_count) of `out` with their entries are materialized;
@@ -44,63 +38,38 @@ Chunk<T> build_chunk(const CompactionOutput<T>& out, std::size_t row_count,
   return chunk;
 }
 
-/// Atomic traffic of committing one chunk: pool allocation, per-row nnz
-/// counter updates, and the two list-head insertions (first and last row).
-inline void charge_chunk_write(sim::MetricCounters& m, std::size_t bytes,
-                               std::size_t rows_in_chunk) {
-  m.global_bytes_coalesced += bytes;
-  m.atomic_ops += 1 + rows_in_chunk + 2;
-}
-
-/// One expanded product awaiting sort.
-template <class T>
-struct Product {
-  index_t lrow, col;
-  T val;
-};
-
-/// Per-thread buffers of one ESC block invocation. The simulated path
-/// constructs a fresh instance per block (the GPU's per-launch scratch);
-/// the native path reuses one thread_local instance across blocks, which
-/// removes every steady-state allocation from the hot loop — the single
-/// biggest wall-clock win of the NativeCpu backend (docs/BACKENDS.md).
+/// Per-thread buffers of the ESC block routine. One thread_local instance
+/// per scheduler thread is reused across blocks and multiplications, so the
+/// steady state allocates nothing but the chunks it writes.
 template <class T>
 struct EscWorkspace {
   std::vector<index_t> a_row;
   std::vector<index_t> local_row;
   std::vector<offset_t> counts;
   std::vector<index_t> long_entries;
-  std::vector<WorkDistribution::Item> items;
   std::vector<std::uint64_t> keys;
   std::vector<T> vals;
-  std::vector<Product<T>> prods;
   std::vector<index_t> car_col;
   std::vector<T> car_val;
-  arch::NativeSortScratch<std::uint64_t, T> sort;
+  sim::RadixSortScratch<std::uint64_t, T> sort;
   CompactionOutput<T> compaction;
 
-  static EscWorkspace& native_instance() {
+  static EscWorkspace& instance() {
     thread_local EscWorkspace ws;
     return ws;
   }
 };
 
-/// The ESC block algorithm (Sections 3.2, 3.4), shared by both backends.
-/// `kNative` selects the execution policy, never the mathematics: the
-/// native path reuses the thread-local workspace and replaces the
-/// sort-then-compact pipeline with a dense per-row accumulator
-/// (arch::NativeRowAccumulator) — products fold into a column-indexed sum
-/// in draw order, which is exactly the order a stable sort followed by the
-/// Algorithm 3 scan combines them in, and only the unique columns of each
-/// row are sorted for emission. It also skips the simulated-traffic
-/// accounting. Outputs are bit-identical by construction;
-/// tests/test_arch.cpp sweeps the differential generators over both paths
-/// to observe it.
-template <class T, bool kNative>
-EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
-                                     std::span<const index_t> block_row_starts,
-                                     std::size_t block_id, const Config& cfg,
-                                     ChunkPool& pool, BlockState& state) {
+}  // namespace
+
+/// The ESC block algorithm (Sections 3.2, 3.4). Every counter is charged in
+/// closed form from sizes the loop already knows, so pricing with the cost
+/// model (or not) is the caller's choice and never changes what runs here.
+template <class T>
+EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
+                                std::span<const index_t> block_row_starts,
+                                std::size_t block_id, const Config& cfg,
+                                ChunkPool& pool, BlockState& state) {
   EscBlockResult<T> res;
   sim::MetricCounters& m = res.metrics;
 
@@ -113,16 +82,10 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
     return res;
   }
 
-  EscWorkspace<T> local_ws;
-  EscWorkspace<T>& ws =
-      kNative ? EscWorkspace<T>::native_instance() : local_ws;
+  EscWorkspace<T>& ws = EscWorkspace<T>::instance();
 
   // --- Fetch A (Section 3.2.1): coalesced load of the block's non-zeros,
   // column ids and (via the row pointer) row ids.
-  if constexpr (!kNative)
-    m.global_bytes_coalesced +=
-        static_cast<std::uint64_t>(entries) * (sizeof(index_t) + sizeof(T));
-
   std::vector<index_t>& a_row = ws.a_row;
   a_row.resize(static_cast<std::size_t>(entries));
   {
@@ -132,12 +95,10 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
       while (a.row_ptr[static_cast<std::size_t>(row) + 1] <= o) ++row;
       a_row[static_cast<std::size_t>(i)] = row;
     }
-    if constexpr (!kNative) {
-      const index_t rows_in_block =
-          a_row.back() - a_row.front() + 1;
-      m.global_bytes_coalesced +=
-          static_cast<std::uint64_t>(rows_in_block + 1) * sizeof(index_t);
-    }
+    const index_t rows_in_block = a_row.back() - a_row.front() + 1;
+    m.global_bytes_coalesced +=
+        static_cast<std::uint64_t>(entries) * (sizeof(index_t) + sizeof(T)) +
+        static_cast<std::uint64_t>(rows_in_block + 1) * sizeof(index_t);
   }
 
   // Row dictionary: local row id = index of the row's first non-zero in the
@@ -162,12 +123,6 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
   for (index_t i = 0; i < entries; ++i) {
     const index_t acol = a.col_idx[static_cast<std::size_t>(begin + i)];
     const index_t blen = b.row_length(acol);
-    if constexpr (!kNative) {
-      // Row-pointer pair lookup: column-local inputs keep one of the two
-      // reads in cache; the other misses.
-      m.global_bytes_scattered += sizeof(index_t);
-      m.global_bytes_coalesced += sizeof(index_t);
-    }
     if (cfg.long_row_handling && blen >= long_threshold) {
       counts[static_cast<std::size_t>(i)] = 0;
       long_entries.push_back(i);
@@ -175,6 +130,12 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
       counts[static_cast<std::size_t>(i)] = blen;
     }
   }
+  // Row-pointer pair lookup per entry: column-local inputs keep one of the
+  // two reads in cache; the other misses.
+  m.global_bytes_scattered +=
+      static_cast<std::uint64_t>(entries) * sizeof(index_t);
+  m.global_bytes_coalesced +=
+      static_cast<std::uint64_t>(entries) * sizeof(index_t);
 
   // Long-row pointer chunks, created idempotently across restarts.
   for (index_t j = state.long_rows_done;
@@ -192,8 +153,7 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
       res.needs_restart = true;
       return res;
     }
-    if constexpr (!kNative)
-      charge_chunk_write(m, chunk.byte_size(), 1);
+    charge_chunk_write(m, chunk);
     ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
     ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
     ACS_TRACE_COUNT(cfg.trace, long_row_chunks, 1);
@@ -221,8 +181,8 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
   std::vector<std::uint64_t>& keys = ws.keys;
   std::vector<T>& vals = ws.vals;
 
-  // Static column width of the native path's fused encoding (see below).
-  [[maybe_unused]] const int static_col_bits =
+  // Static column width of the fused encoding (see below).
+  const int static_col_bits =
       sim::bits_for(static_cast<std::uint64_t>(b.cols - 1));
 
   // Block-level spans only in detail mode (a span per local ESC iteration
@@ -239,171 +199,103 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
     const std::size_t n =
         static_cast<std::size_t>(carried) + static_cast<std::size_t>(consume);
 
-    KeyCodec codec = KeyCodec::make(
-        0, 0, 0, 0, false, static_cast<index_t>(cfg.nnz_per_block - 1),
-        b.cols - 1);
-    // Drawn products feeding the buffer's last row (native path only; the
-    // simulated path recounts from its product staging below).
-    [[maybe_unused]] offset_t native_last_row_drawn = 0;
-    if constexpr (kNative) {
-      // --- Fused receive + expand + encode: each drawn product is touched
-      // exactly once — the item and product staging buffers of the simulated
-      // path (the GPU's scatter into scratchpad) never materialize. The
-      // segment visit hands over one B-row run per A entry, so the A-side
-      // loads (value, local row, B row base) hoist out of the per-product
-      // loop and the inner loop streams one row of B. The key row base is
-      // known before the sweep (the carried row or the first pending A
-      // entry, whichever is lower — drawn local rows are non-decreasing
-      // because consumption sweeps the block's A entries in order), and the
-      // column width is static, so keys encode final-form in the same pass.
-      // The sort order and decoded (row, column) pairs — all that downstream
-      // consumes — are unchanged by the encoding choice, so this stays
-      // bit-identical to the simulated path's dynamic-bits codec.
-      keys.resize(n);
-      vals.resize(n);
-      const index_t first_lrow =
-          local_row[static_cast<std::size_t>(wd.first_pending())];
-      const index_t row_lo =
-          carried > 0 ? std::min(carried_local_row, first_lrow) : first_lrow;
-      std::size_t w = static_cast<std::size_t>(carried);
-      index_t last_lrow_drawn = carried > 0 ? carried_local_row : first_lrow;
-      wd.receive_visit_segments(consume, [&](index_t a_idx, index_t b_lo,
-                                             index_t b_hi) {
-        const std::size_t ai = static_cast<std::size_t>(begin + a_idx);
-        const index_t lrow = local_row[static_cast<std::size_t>(a_idx)];
-        if (lrow != last_lrow_drawn) {
-          last_lrow_drawn = lrow;
-          native_last_row_drawn = 0;
-        }
-        native_last_row_drawn += b_hi - b_lo;
-        const std::uint64_t krow =
-            static_cast<std::uint64_t>(lrow - row_lo) << static_col_bits;
-        const T aval = a.values[ai];
-        const std::size_t base =
-            static_cast<std::size_t>(b.row_ptr[usize(a.col_idx[ai])]);
-        const index_t* bcol = b.col_idx.data() + base;
-        const T* bval = b.values.data() + base;
-        for (index_t off = b_hi; off-- > b_lo;) {
-          keys[w] = krow | static_cast<std::uint64_t>(bcol[off]);
-          vals[w] = aval * bval[off];
-          ++w;
-        }
-      });
-
-      const index_t row_hi = std::max(
-          last_lrow_drawn, carried > 0 ? carried_local_row : last_lrow_drawn);
-      codec = KeyCodec::make(row_lo, row_hi, 0, b.cols - 1, true,
-                             static_cast<index_t>(cfg.nnz_per_block - 1),
-                             b.cols - 1);
-      // Carried elements first (stable sort keeps them ahead of new products
-      // with equal keys, preserving prefix-sum accumulation).
-      for (index_t i = 0; i < carried; ++i) {
-        keys[static_cast<std::size_t>(i)] = codec.encode(
-            carried_local_row, car_col[static_cast<std::size_t>(i)]);
-        vals[static_cast<std::size_t>(i)] =
-            car_val[static_cast<std::size_t>(i)];
+    // --- Fused receive + expand + encode: each drawn product is touched
+    // exactly once. A segment visit hands over one B-row run per A entry,
+    // so the A-side loads (value, local row, B row base) hoist out of the
+    // per-product loop and the inner loop streams one row of B. The key row
+    // base is known before the sweep (the carried row or the first pending
+    // A entry, whichever is lower — drawn local rows are non-decreasing
+    // because consumption sweeps the block's A entries in order) and the
+    // column width is static, so keys encode final-form in the same pass.
+    keys.resize(n);
+    vals.resize(n);
+    const index_t first_lrow =
+        local_row[static_cast<std::size_t>(wd.first_pending())];
+    const index_t row_lo =
+        carried > 0 ? std::min(carried_local_row, first_lrow) : first_lrow;
+    std::size_t w = static_cast<std::size_t>(carried);
+    index_t last_lrow_drawn = carried > 0 ? carried_local_row : first_lrow;
+    // Drawn products feeding the buffer's last row (never the carried
+    // elements: those are not sources themselves).
+    offset_t last_row_drawn = 0;
+    std::uint64_t segments = 0;
+    wd.receive_visit_segments(consume, m, [&](index_t a_idx, index_t b_lo,
+                                              index_t b_hi) {
+      const std::size_t ai = static_cast<std::size_t>(begin + a_idx);
+      const index_t lrow = local_row[static_cast<std::size_t>(a_idx)];
+      if (lrow != last_lrow_drawn) {
+        last_lrow_drawn = lrow;
+        last_row_drawn = 0;
       }
-    } else {
-      std::vector<WorkDistribution::Item>& items = ws.items;
-      std::vector<Product<T>>& prods = ws.prods;
-      items.clear();
-      wd.receive(consume, items, m);
-
-      // --- Expand: load the assigned B elements and multiply. Track the
-      // dynamic key ranges and the coalescing structure (consecutive items
-      // of the same A entry read consecutive B elements).
-      keys.resize(n);
-      vals.resize(n);
-
-      index_t min_col = b.cols, max_col = 0;
-      index_t min_lrow = entries, max_lrow = 0;
-      for (index_t c : car_col) {
-        min_col = std::min(min_col, c);
-        max_col = std::max(max_col, c);
+      last_row_drawn += b_hi - b_lo;
+      ++segments;
+      const std::uint64_t krow =
+          static_cast<std::uint64_t>(lrow - row_lo) << static_col_bits;
+      const T aval = a.values[ai];
+      const std::size_t base =
+          static_cast<std::size_t>(b.row_ptr[usize(a.col_idx[ai])]);
+      const index_t* bcol = b.col_idx.data() + base;
+      const T* bval = b.values.data() + base;
+      for (index_t off = b_hi; off-- > b_lo;) {
+        keys[w] = krow | static_cast<std::uint64_t>(bcol[off]);
+        vals[w] = aval * bval[off];
+        ++w;
       }
-      if (carried > 0) {
-        min_lrow = std::min(min_lrow, carried_local_row);
-        max_lrow = std::max(max_lrow, carried_local_row);
-      }
+    });
+    // Expansion: coalesced loads of the drawn B elements, one extra memory
+    // transaction per B-row segment, one multiply-add per product.
+    m.global_bytes_coalesced +=
+        static_cast<std::uint64_t>(consume) * (sizeof(index_t) + sizeof(T));
+    m.global_bytes_scattered += 32 * segments;
+    m.flops += 2 * static_cast<std::uint64_t>(consume);
 
-      prods.resize(items.size());
-      index_t prev_a = -1;
-      for (std::size_t i = 0; i < items.size(); ++i) {
-        const auto [a_idx, b_off] = items[i];
-        const index_t acol = a.col_idx[static_cast<std::size_t>(begin + a_idx)];
-        const index_t bk = b.row_ptr[usize(acol)] + b_off;
-        const index_t bcol = b.col_idx[static_cast<std::size_t>(bk)];
-        const T prod = a.values[static_cast<std::size_t>(begin + a_idx)] *
-                       b.values[static_cast<std::size_t>(bk)];
-        prods[i] = {local_row[static_cast<std::size_t>(a_idx)], bcol, prod};
-        min_col = std::min(min_col, bcol);
-        max_col = std::max(max_col, bcol);
-        min_lrow = std::min(min_lrow, prods[i].lrow);
-        max_lrow = std::max(max_lrow, prods[i].lrow);
-        m.global_bytes_coalesced += sizeof(index_t) + sizeof(T);
-        if (a_idx != prev_a) {
-          // New B-row segment: one extra memory transaction of overhead.
-          m.global_bytes_scattered += 32;
-          prev_a = a_idx;
-        }
-      }
-      m.flops += 2 * items.size();
-
-      codec = KeyCodec::make(
-          min_lrow, std::max(min_lrow, max_lrow), min_col,
-          std::max(min_col, max_col), cfg.dynamic_bits,
-          static_cast<index_t>(cfg.nnz_per_block - 1), b.cols - 1);
-
-      // Buffer layout: carried elements first (stable sort keeps them ahead
-      // of new products with equal keys, preserving prefix-sum
-      // accumulation).
-      for (index_t i = 0; i < carried; ++i) {
-        keys[static_cast<std::size_t>(i)] = codec.encode(
-            carried_local_row, car_col[static_cast<std::size_t>(i)]);
-        vals[static_cast<std::size_t>(i)] =
-            car_val[static_cast<std::size_t>(i)];
-      }
-      for (std::size_t i = 0; i < prods.size(); ++i) {
-        keys[static_cast<std::size_t>(carried) + i] =
-            codec.encode(prods[i].lrow, prods[i].col);
-        vals[static_cast<std::size_t>(carried) + i] = prods[i].val;
-      }
+    const index_t row_hi = std::max(
+        last_lrow_drawn, carried > 0 ? carried_local_row : last_lrow_drawn);
+    const KeyCodec codec = KeyCodec::make(
+        row_lo, row_hi, 0, b.cols - 1, true,
+        static_cast<index_t>(cfg.nnz_per_block - 1), b.cols - 1);
+    // Carried elements first (stable sort keeps them ahead of new products
+    // with equal keys, preserving prefix-sum accumulation).
+    for (index_t i = 0; i < carried; ++i) {
+      keys[static_cast<std::size_t>(i)] = codec.encode(
+          carried_local_row, car_col[static_cast<std::size_t>(i)]);
+      vals[static_cast<std::size_t>(i)] = car_val[static_cast<std::size_t>(i)];
     }
 
-    // --- Sort (block radix sort over the reduced bit range). Both sorts
-    // are stable LSD ascending, so the permutation is identical; the
-    // native one just uses wider digits and reused scratch.
-    if constexpr (kNative)
-      arch::native_radix_sort(std::span(keys), std::span(vals),
-                              codec.total_bits(), ws.sort);
-    else
-      sim::block_radix_sort(std::span(keys), std::span(vals),
-                            codec.total_bits(), m);
+    // --- Sort (block radix sort). The host sort runs over the fused
+    // encoding's bits; the decoded (row, column) order — all that
+    // downstream consumes — is the same under any encoding.
+    sim::block_radix_sort(std::span(keys), std::span(vals),
+                          codec.total_bits(), ws.sort);
 
-    // --- Compress (Algorithm 3 scan; the native path runs the single-pass
-    // equivalent with the same left-to-right value association).
-    if constexpr (kNative)
-      arch::native_compact_sorted(
-          std::span<const std::uint64_t>(keys), std::span<const T>(vals),
-          codec, ws.compaction);
-    else
-      ws.compaction = compact_sorted<T>(std::span<const std::uint64_t>(keys),
-                                        std::span<const T>(vals), codec, m);
+    // --- Compress (Algorithm 3).
+    compact_sorted_into(std::span<const std::uint64_t>(keys),
+                        std::span<const T>(vals), codec, ws.compaction);
+    charge_compaction(m, n);
     const CompactionOutput<T>& out = ws.compaction;
     assert(!out.rows.empty());
+
+    // The sort is charged for the bits the paper's kernel sorts: the
+    // dynamic-bits codec over the buffer's row and column range
+    // (Section 3.2.3). Compacted rows are column-sorted and hold every
+    // distinct (row, column) of the buffer, so each row's first and last
+    // entries bound the column range — no per-product tracking needed.
+    index_t min_col = b.cols, max_col = 0;
+    std::size_t pos = 0;
+    for (const auto& [lrow, count] : out.rows) {
+      min_col = std::min(min_col, codec.col_of(out.keys[pos]));
+      pos += static_cast<std::size_t>(count);
+      max_col = std::max(max_col, codec.col_of(out.keys[pos - 1]));
+    }
+    const KeyCodec priced = KeyCodec::make(
+        row_lo, row_hi, min_col, max_col, cfg.dynamic_bits,
+        static_cast<index_t>(cfg.nnz_per_block - 1), b.cols - 1);
+    m.sort_pass_elements += sim::radix_sort_work(n, priced.total_bits());
 
     // Sources feeding the (new) last row this round: the products drawn for
     // it plus, if the carried row is still open, its accumulated sources.
     const index_t last_lrow = out.rows.back().first;
-    offset_t last_row_sources = 0;
-    if constexpr (kNative) {
-      // Counted during the fused sweep: drawn products only, never the
-      // carried elements (those are not sources themselves).
-      last_row_sources = native_last_row_drawn;
-    } else {
-      for (const auto& p : ws.prods)
-        if (p.lrow == last_lrow) ++last_row_sources;
-    }
+    offset_t last_row_sources = last_row_drawn;
     if (carried > 0 && carried_local_row == last_lrow)
       last_row_sources += carried_sources;
 
@@ -424,11 +316,7 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
         res.needs_restart = true;
         return res;  // committed unchanged: replay redoes this iteration
       }
-      if constexpr (!kNative) {
-        charge_chunk_write(m, chunk.byte_size(), write_rows);
-        // Staging round trip through scratchpad for coalesced writes.
-        m.scratch_ops += 2 * chunk.cols.size();
-      }
+      charge_chunk_write(m, chunk);
       ACS_TRACE_COUNT(cfg.trace, pool_alloc_bytes, chunk.byte_size());
       ACS_TRACE_COUNT(cfg.trace, chunks_written, 1);
       res.chunks.push_back(std::move(chunk));
@@ -469,20 +357,6 @@ EscBlockResult<T> run_esc_block_impl(const Csr<T>& a, const Csr<T>& b,
 
   state.finished = true;
   return res;
-}
-
-}  // namespace
-
-template <class T>
-EscBlockResult<T> run_esc_block(const Csr<T>& a, const Csr<T>& b,
-                                std::span<const index_t> block_row_starts,
-                                std::size_t block_id, const Config& cfg,
-                                ChunkPool& pool, BlockState& state) {
-  if (cfg.exec == arch::ExecKind::kNative)
-    return run_esc_block_impl<T, true>(a, b, block_row_starts, block_id, cfg,
-                                       pool, state);
-  return run_esc_block_impl<T, false>(a, b, block_row_starts, block_id, cfg,
-                                      pool, state);
 }
 
 template EscBlockResult<float> run_esc_block(const Csr<float>&,

@@ -15,25 +15,6 @@ WorkDistribution::WorkDistribution(std::span<const offset_t> counts,
   m.scratch_ops += counts.size();
 }
 
-void WorkDistribution::receive(offset_t consume, std::vector<Item>& out,
-                               sim::MetricCounters& m) {
-  assert(consume <= size());
-  // Two-pointer sweep replacing the GPU's marker-scatter + max-scan
-  // (Algorithm 2 lines 16-29): output slot c belongs to the A entry whose
-  // state range contains c; the B offset counts down from the remaining end.
-  std::size_t a = 0;
-  for (offset_t c = 0; c < consume; ++c) {
-    while (state_[a + 1] <= c) ++a;
-    out.push_back({static_cast<index_t>(a),
-                   static_cast<index_t>(state_[a + 1] - c - 1)});
-  }
-  // Charge the GPU-side cost of the assignment: marker scatter, max scan and
-  // the blocked->striped exchange all touch `consume` slots.
-  m.scan_elements += static_cast<std::uint64_t>(consume);
-  m.scratch_ops += 3 * static_cast<std::uint64_t>(consume);
-  reduce(consume, m);
-}
-
 void WorkDistribution::fast_forward(offset_t count, sim::MetricCounters& m) {
   assert(count <= size());
   reduce(count, m);

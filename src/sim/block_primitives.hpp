@@ -1,93 +1,88 @@
 #pragma once
 /// \file block_primitives.hpp
-/// Block-wide cooperative primitives, the CUB analogues the paper's kernels
-/// are built on: inclusive/exclusive prefix scans, max-scans, a stable LSD
-/// block radix sort, and the blocked→striped layout exchange used by the
-/// work distribution (Alg. 2, line 25). Each primitive executes the exact
-/// data movement the GPU version would and charges its work to a
-/// MetricCounters set so the cost model sees the same work the hardware
-/// would (e.g. radix-sort cost proportional to the sorted bit width — the
-/// basis of the paper's dynamic bit-reduction optimization).
+/// The block-wide stable radix sort the paper's ESC and merge kernels are
+/// built on (CUB's BlockRadixSort), with the work it is charged: the cost
+/// model sees radix-sort cost proportional to the sorted bit width — the
+/// basis of the paper's dynamic bit-reduction optimization. The host sort
+/// and its charge are separate: the sort picks host-friendly digit widths,
+/// the charge counts the GPU's 4-bit passes over the bits the kernel would
+/// sort.
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "sim/metrics.hpp"
-
 namespace acs::sim {
-
-/// In-place inclusive prefix scan with an arbitrary associative operator.
-template <class T, class Op = std::plus<T>>
-void inclusive_scan(std::span<T> data, MetricCounters& m, Op op = {}) {
-  for (std::size_t i = 1; i < data.size(); ++i)
-    data[i] = op(data[i - 1], data[i]);
-  m.scan_elements += data.size();
-}
-
-/// In-place exclusive prefix sum; returns the total.
-template <class T>
-T exclusive_sum(std::span<T> data, MetricCounters& m) {
-  T running{};
-  for (auto& x : data) {
-    const T v = x;
-    x = running;
-    running += v;
-  }
-  m.scan_elements += data.size();
-  return running;
-}
-
-/// In-place inclusive max-scan (Alg. 2, line 24).
-template <class T>
-void inclusive_max_scan(std::span<T> data, MetricCounters& m) {
-  for (std::size_t i = 1; i < data.size(); ++i)
-    data[i] = std::max(data[i - 1], data[i]);
-  m.scan_elements += data.size();
-}
 
 /// Number of 4-bit radix passes needed to sort keys of `bits` significant
 /// bits (the quantity the paper's bit reduction minimizes).
 constexpr int radix_passes(int bits) { return (bits + 3) / 4; }
 
-/// Stable LSD radix sort of (key, payload) pairs over the low `bits` bits of
-/// the keys. Matches CUB's BlockRadixSort semantics: stable, ascending,
-/// work ∝ #keys × #passes.
+/// Sort work charged to MetricCounters::sort_pass_elements for a block sort
+/// of `n` keys over `bits` bits: #keys × #4-bit passes.
+constexpr std::uint64_t radix_sort_work(std::size_t n, int bits) {
+  return static_cast<std::uint64_t>(n) *
+         static_cast<std::uint64_t>(std::max(radix_passes(bits), 0));
+}
+
+/// Reusable double-buffers for block_radix_sort. Capacity persists across
+/// calls, so a caller that keeps one instance (the ESC and merge workspaces
+/// keep one per thread) sorts without touching the allocator.
+template <class K, class V>
+struct RadixSortScratch {
+  std::vector<K> kbuf;
+  std::vector<V> vbuf;
+};
+
+/// Widest radix digit a single pass may consume. 11 bits = 2048 counters
+/// (16 KiB on the stack) — past that, zeroing and re-walking the histogram
+/// costs more than it saves on the block-sized inputs ESC produces.
+inline constexpr int kMaxDigitBits = 11;
+
+/// Stable LSD radix sort of (key, payload) pairs over the low `bits` key
+/// bits, ascending. The permutation of a stable sort is unique, so the
+/// digit width does not change the result; it is the smallest width that
+/// achieves the minimum pass count `ceil(bits / kMaxDigitBits)`, keeping
+/// the histogram as small as the pass budget allows. Charges nothing:
+/// callers charge `radix_sort_work` for the bits the kernel sorts.
 template <class K, class V>
 void block_radix_sort(std::span<K> keys, std::span<V> payload, int bits,
-                      MetricCounters& m) {
+                      RadixSortScratch<K, V>& scratch) {
   const std::size_t n = keys.size();
-  const int passes = radix_passes(bits);
-  m.sort_pass_elements += static_cast<std::uint64_t>(n) *
-                          static_cast<std::uint64_t>(std::max(passes, 0));
-  if (n <= 1 || passes <= 0) return;
+  if (n <= 1 || bits <= 0) return;
+  const int passes = (bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (bits + passes - 1) / passes;
+  const std::uint64_t digit_mask = (std::uint64_t{1} << digit_bits) - 1;
+  const std::size_t buckets = std::size_t{1} << digit_bits;
 
-  std::vector<K> kbuf(n);
-  std::vector<V> vbuf(n);
+  if (scratch.kbuf.size() < n) scratch.kbuf.resize(n);
+  if (scratch.vbuf.size() < n) scratch.vbuf.resize(n);
   K* ksrc = keys.data();
   V* vsrc = payload.data();
-  K* kdst = kbuf.data();
-  V* vdst = vbuf.data();
+  K* kdst = scratch.kbuf.data();
+  V* vdst = scratch.vbuf.data();
 
   for (int p = 0; p < passes; ++p) {
-    const int shift = p * 4;
-    std::size_t count[16] = {};
+    const int shift = p * digit_bits;
+    std::size_t count[std::size_t{1} << kMaxDigitBits];
+    std::fill(count, count + buckets, 0);
     for (std::size_t i = 0; i < n; ++i)
-      count[(static_cast<std::uint64_t>(ksrc[i]) >> shift) & 0xF]++;
-    std::size_t offset[16];
+      count[(static_cast<std::uint64_t>(ksrc[i]) >> shift) & digit_mask]++;
     std::size_t run = 0;
-    for (int d = 0; d < 16; ++d) {
-      offset[d] = run;
-      run += count[d];
+    for (std::size_t b = 0; b < buckets; ++b) {
+      const std::size_t d = count[b];
+      count[b] = run;
+      run += d;
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const auto d = (static_cast<std::uint64_t>(ksrc[i]) >> shift) & 0xF;
-      kdst[offset[d]] = ksrc[i];
-      vdst[offset[d]] = vsrc[i];
-      ++offset[d];
+      const auto d =
+          (static_cast<std::uint64_t>(ksrc[i]) >> shift) & digit_mask;
+      kdst[count[d]] = ksrc[i];
+      vdst[count[d]] = vsrc[i];
+      ++count[d];
     }
     std::swap(ksrc, kdst);
     std::swap(vsrc, vdst);
@@ -96,27 +91,6 @@ void block_radix_sort(std::span<K> keys, std::span<V> payload, int bits,
     std::copy(ksrc, ksrc + n, keys.data());
     std::copy(vsrc, vsrc + n, payload.data());
   }
-}
-
-/// Blocked→striped exchange: element (thread t, slot i) in blocked layout
-/// moves to position t + i*THREADS. Used by the work distribution so that
-/// consecutive threads load consecutive elements of B (coalescing).
-/// data.size() must be a multiple of `threads` (as on the GPU, where the
-/// exchange buffer is sized THREADS × ITEMS and padded).
-template <class T>
-void blocked_to_striped(std::span<T> data, int threads, MetricCounters& m) {
-  const std::size_t n = data.size();
-  if (n % static_cast<std::size_t>(threads) != 0)
-    throw std::invalid_argument("blocked_to_striped: size not a multiple of thread count");
-  const std::size_t per_thread = n / static_cast<std::size_t>(threads);
-  std::vector<T> tmp(n);
-  for (std::size_t src = 0; src < n; ++src) {
-    const std::size_t t = src / per_thread;
-    const std::size_t slot = src % per_thread;
-    tmp[t + slot * static_cast<std::size_t>(threads)] = data[src];
-  }
-  std::copy(tmp.begin(), tmp.end(), data.begin());
-  m.scratch_ops += 2 * n;
 }
 
 /// Significant bits of a non-negative value (0 → 0 bits).

@@ -34,6 +34,8 @@ struct MetricCounters {
   std::uint64_t compute_ops = 0;
 
   MetricCounters& operator+=(const MetricCounters& other);
+  friend bool operator==(const MetricCounters&,
+                         const MetricCounters&) = default;
   [[nodiscard]] MetricCounters operator+(const MetricCounters& other) const;
 };
 

@@ -3,9 +3,10 @@
 ///  * tag sanity — every compiled-in tag round-trips through ArchId,
 ///    to_string/parse_arch, arch_info and dispatch_arch, and SimTitanXp's
 ///    induced device equals the pre-arch simulator defaults exactly;
-///  * the native block primitives (arch/native_exec.hpp) are drop-in
-///    equivalents of the simulated ones: same sort permutation, same
-///    compaction layout, same left-to-right value association;
+///  * the block primitives both lanes run are drop-in equivalents of the
+///    simulated kernel's: the radix sort has the stable-sort permutation,
+///    and the single-pass compaction reproduces the Algorithm 3 scan's
+///    layout and left-to-right value association;
 ///  * the NativeCpu backend is bit-identical to the simulated pipeline on
 ///    a full differential generator sweep — float and double, one and many
 ///    scheduler threads, long rows, shrunken block shapes;
@@ -17,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <random>
 #include <span>
 #include <string>
@@ -26,7 +29,6 @@
 #include <vector>
 
 #include "arch/arch.hpp"
-#include "arch/native_exec.hpp"
 #include "core/acspgemm.hpp"
 #include "core/compaction.hpp"
 #include "core/sort_key.hpp"
@@ -98,6 +100,9 @@ TEST(ArchTags, UnknownIdsDispatchAsTheDefaultBackend) {
 // --- Native primitive equivalence -----------------------------------------
 
 TEST(NativePrimitives, RadixSortMatchesSimPermutationIncludingStability) {
+  // Both lanes run sim::block_radix_sort; the permutation the simulated
+  // kernel defines is that of a stable sort on the low `bits` key bits, so
+  // the host sort must match std::stable_sort element for element.
   std::mt19937_64 rng(42);
   for (const int bits : {1, 4, 11, 13, 22, 31}) {
     const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
@@ -109,18 +114,23 @@ TEST(NativePrimitives, RadixSortMatchesSimPermutationIncludingStability) {
       keys[i] = rng() & mask & 0xff;  // few distinct keys -> many duplicates
       vals[i] = static_cast<double>(i);
     }
-    auto sim_keys = keys;
-    auto sim_vals = vals;
-    sim::MetricCounters m;
-    sim::block_radix_sort(std::span(sim_keys), std::span(sim_vals), bits, m);
+    std::vector<std::size_t> order(keys.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t x, std::size_t y) {
+                       return (keys[x] & mask) < (keys[y] & mask);
+                     });
+    std::vector<std::uint64_t> ref_keys;
+    std::vector<double> ref_vals;
+    for (std::size_t i : order) {
+      ref_keys.push_back(keys[i]);
+      ref_vals.push_back(vals[i]);
+    }
 
-    auto nat_keys = keys;
-    auto nat_vals = vals;
-    arch::NativeSortScratch<std::uint64_t, double> scratch;
-    arch::native_radix_sort(std::span(nat_keys), std::span(nat_vals), bits,
-                            scratch);
-    EXPECT_EQ(nat_keys, sim_keys) << "bits=" << bits;
-    EXPECT_EQ(nat_vals, sim_vals) << "bits=" << bits;
+    sim::RadixSortScratch<std::uint64_t, double> scratch;
+    sim::block_radix_sort(std::span(keys), std::span(vals), bits, scratch);
+    EXPECT_EQ(keys, ref_keys) << "bits=" << bits;
+    EXPECT_EQ(vals, ref_vals) << "bits=" << bits;
   }
 }
 
@@ -149,23 +159,28 @@ TEST(NativePrimitives, CompactionMatchesSimLayoutAndAssociation) {
       std::span<const std::uint64_t>(keys), std::span<const double>(vals),
       codec, m);
   CompactionOutput<double> natc;
-  arch::native_compact_sorted(std::span<const std::uint64_t>(keys),
-                              std::span<const double>(vals), codec, natc);
+  compact_sorted_into(std::span<const std::uint64_t>(keys),
+                      std::span<const double>(vals), codec, natc);
   EXPECT_EQ(natc.keys, simc.keys);
   EXPECT_EQ(natc.vals, simc.vals);  // element-exact: same association
+  EXPECT_EQ(natc.rows, simc.rows);
+
+  // The output is reused across iterations: a second call starts clean.
+  compact_sorted_into(std::span<const std::uint64_t>(keys),
+                      std::span<const double>(vals), codec, natc);
+  EXPECT_EQ(natc.keys, simc.keys);
   EXPECT_EQ(natc.rows, simc.rows);
 }
 
 TEST(NativePrimitives, CompactionEnforcesTheSameCounterBound) {
   const KeyCodec codec = KeyCodec::make(0, 0, 0, 0, false, 255, 1 << 20);
-  std::vector<std::uint64_t> keys(arch::kNativeCompactMaxElements + 1);
+  std::vector<std::uint64_t> keys(compaction_detail::kCounterMask + 1);
   for (std::size_t i = 0; i < keys.size(); ++i)
     keys[i] = codec.encode(0, static_cast<index_t>(i));
   const std::vector<double> vals(keys.size(), 1.0);
   CompactionOutput<double> out;
-  EXPECT_THROW(arch::native_compact_sorted(std::span<const std::uint64_t>(keys),
-                                           std::span<const double>(vals),
-                                           codec, out),
+  EXPECT_THROW(compact_sorted_into(std::span<const std::uint64_t>(keys),
+                                   std::span<const double>(vals), codec, out),
                std::length_error);
 }
 

@@ -2,12 +2,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 namespace acs {
 namespace {
 
 std::vector<offset_t> counts(std::initializer_list<offset_t> c) { return c; }
+
+/// One drawn product: the block's A entry and the offset into its row of B.
+struct Drawn {
+  index_t a_idx;
+  index_t b_off;
+};
+
+/// Draw `consume` products and expand the segment visits into the
+/// per-product (A entry, B offset) sequence, in consumption order.
+std::vector<Drawn> draw(WorkDistribution& wd, offset_t consume,
+                        sim::MetricCounters& m, int* segments = nullptr) {
+  std::vector<Drawn> out;
+  wd.receive_visit_segments(consume, m, [&](index_t a, index_t lo, index_t hi) {
+    EXPECT_LT(lo, hi) << "empty segment visit";
+    if (segments) ++*segments;
+    for (index_t off = hi; off-- > lo;) out.push_back({a, off});
+  });
+  return out;
+}
 
 TEST(WorkDistribution, SizeIsTotalCount) {
   sim::MetricCounters m;
@@ -22,9 +42,10 @@ TEST(WorkDistribution, PaperFigure3FirstDraw) {
   sim::MetricCounters m;
   const auto c = counts({5, 3, 4, 4, 5, 3});
   WorkDistribution wd(c, m);
-  std::vector<WorkDistribution::Item> items;
-  wd.receive(10, items, m);
+  int segments = 0;
+  const auto items = draw(wd, 10, m, &segments);
   ASSERT_EQ(items.size(), 10u);
+  EXPECT_EQ(segments, 3);  // one visit per A entry touched
   // Entry 0 contributes offsets 4..0 (reverse), entry 1 offsets 2..0,
   // entry 2 offsets 3,2 (the tail of its 4 products).
   EXPECT_EQ(items[0].a_idx, 0);
@@ -47,11 +68,8 @@ TEST(WorkDistribution, SplitRowActsShorterNextIteration) {
   sim::MetricCounters m;
   const auto c = counts({6});
   WorkDistribution wd(c, m);
-  std::vector<WorkDistribution::Item> items;
-  wd.receive(4, items, m);
-  EXPECT_EQ(items.back().b_off, 2);
-  items.clear();
-  wd.receive(2, items, m);
+  EXPECT_EQ(draw(wd, 4, m).back().b_off, 2);
+  const auto items = draw(wd, 2, m);
   ASSERT_EQ(items.size(), 2u);
   EXPECT_EQ(items[0].b_off, 1);
   EXPECT_EQ(items[1].b_off, 0);
@@ -64,11 +82,8 @@ TEST(WorkDistribution, EveryProductDeliveredExactlyOnce) {
   WorkDistribution wd(c, m);
   std::vector<std::vector<bool>> seen;
   for (offset_t n : c) seen.emplace_back(static_cast<std::size_t>(n), false);
-  std::vector<WorkDistribution::Item> items;
   while (wd.size() > 0) {
-    items.clear();
-    wd.receive(std::min<offset_t>(4, wd.size()), items, m);
-    for (auto [a, b] : items) {
+    for (auto [a, b] : draw(wd, std::min<offset_t>(4, wd.size()), m)) {
       ASSERT_FALSE(seen[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)]);
       seen[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] = true;
     }
@@ -81,8 +96,7 @@ TEST(WorkDistribution, ZeroCountEntriesAreSkipped) {
   sim::MetricCounters m;
   const auto c = counts({0, 0, 2, 0});
   WorkDistribution wd(c, m);
-  std::vector<WorkDistribution::Item> items;
-  wd.receive(2, items, m);
+  const auto items = draw(wd, 2, m);
   ASSERT_EQ(items.size(), 2u);
   EXPECT_EQ(items[0].a_idx, 2);
   EXPECT_EQ(items[1].a_idx, 2);
@@ -90,17 +104,15 @@ TEST(WorkDistribution, ZeroCountEntriesAreSkipped) {
 
 TEST(WorkDistribution, FastForwardMatchesReceive) {
   // Restart contract: fast_forward(k) must leave the distribution in the
-  // same state as receive(k).
+  // same state as drawing k products.
   sim::MetricCounters m;
   const auto c = counts({4, 2, 6, 1});
   WorkDistribution wd1(c, m), wd2(c, m);
-  std::vector<WorkDistribution::Item> items;
-  wd1.receive(7, items, m);
+  draw(wd1, 7, m);
   wd2.fast_forward(7, m);
   EXPECT_EQ(wd1.size(), wd2.size());
-  std::vector<WorkDistribution::Item> i1, i2;
-  wd1.receive(wd1.size(), i1, m);
-  wd2.receive(wd2.size(), i2, m);
+  const auto i1 = draw(wd1, wd1.size(), m);
+  const auto i2 = draw(wd2, wd2.size(), m);
   ASSERT_EQ(i1.size(), i2.size());
   for (std::size_t i = 0; i < i1.size(); ++i) {
     EXPECT_EQ(i1[i].a_idx, i2[i].a_idx);
@@ -112,11 +124,24 @@ TEST(WorkDistribution, ConsumedTracksTotal) {
   sim::MetricCounters m;
   const auto c = counts({5, 5});
   WorkDistribution wd(c, m);
-  std::vector<WorkDistribution::Item> items;
   wd.fast_forward(3, m);
-  wd.receive(4, items, m);
+  draw(wd, 4, m);
   EXPECT_EQ(wd.consumed(), 7);
   EXPECT_EQ(wd.size(), 3);
+}
+
+TEST(WorkDistribution, DrawChargesTheAssignmentInClosedForm) {
+  // Marker scatter, max scan and blocked->striped exchange touch every
+  // drawn slot; the reduction touches every state entry.
+  const auto c = counts({5, 3, 4, 4, 5, 3});
+  sim::MetricCounters built;
+  WorkDistribution wd(c, built);
+  EXPECT_EQ(built.scan_elements, 6u);
+  EXPECT_EQ(built.scratch_ops, 6u);
+  sim::MetricCounters m;
+  draw(wd, 10, m);
+  EXPECT_EQ(m.scan_elements, 10u);
+  EXPECT_EQ(m.scratch_ops, 3u * 10 + 7);
 }
 
 TEST(WorkDistribution, EmptyDistribution) {
